@@ -29,9 +29,9 @@ class Histogram;
 
 class ThreadPool {
  public:
-  // num_threads == 0 means one worker per hardware thread. `name` labels the
-  // pool's metrics and trace tracks; it must outlive the pool (use a
-  // literal).
+  // num_threads == 0 means one worker per hardware thread, at least one if
+  // hardware_concurrency() reports 0. `name` labels the pool's metrics and
+  // trace tracks; it must outlive the pool (use a literal).
   explicit ThreadPool(std::size_t num_threads = 0, const char* name = "pool");
   ~ThreadPool();
 

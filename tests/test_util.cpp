@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "util/csv.hpp"
 #include "util/logging.hpp"
@@ -142,8 +144,10 @@ TEST(ThreadPool, SubmitReturnsFuture) {
 }
 
 TEST(ThreadPool, ZeroThreadsClampedToOne) {
+  // thread_pool.hpp / README: 0 = one worker per hardware thread, at least one.
   ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.size(),
+            std::max<std::size_t>(1, std::thread::hardware_concurrency()));
   std::atomic<int> counter{0};
   pool.parallel_for(5, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 5);
